@@ -342,9 +342,10 @@ std::string Checker::race_report_locked() const {
   // A wildcard receive races when, under some other schedule, it could
   // have matched a different send: any send to the same destination that
   // fits the selectors, is on a different FIFO stream than the matched
-  // one, was not consumed before this receive, and is not causally after
-  // it. The report prints the full candidate set (matched send included),
-  // so it reads the same no matter which candidate won this run.
+  // one, and is not causally after it — unless an earlier receive takes
+  // it in every schedule. Which send won an earlier race thus never
+  // changes a candidate set, and the report (the full candidate set,
+  // matched send included) reads the same however the run was scheduled.
   std::vector<const WildcardRecv*> recvs;
   recvs.reserve(wildcard_recvs_.size());
   for (const WildcardRecv& r : wildcard_recvs_) recvs.push_back(&r);
@@ -353,6 +354,11 @@ std::string Checker::race_report_locked() const {
               return std::tie(a->dest, a->recv_index) <
                      std::tie(b->dest, b->recv_index);
             });
+  // consumer_raced[id]: send `id` was consumed by a wildcard receive with
+  // another candidate, so another schedule could leave it for a later
+  // receive. Set in (dest, recv_index) order, before any later receive at
+  // that destination reads it; named receives never set it.
+  std::vector<bool> consumer_raced(sends_.size(), false);
   std::ostringstream out;
   bool any = false;
   for (const WildcardRecv* recv : recvs) {
@@ -368,13 +374,16 @@ std::string Checker::race_report_locked() const {
       // Same stream as the matched send: FIFO order pins which one this
       // receive sees; no schedule can swap them.
       if (s.source == matched.source && s.tag == matched.tag) continue;
-      // Consumed by an earlier receive in this schedule's program order.
-      if (s.delivered && s.recv_index < recv->recv_index) continue;
+      // Consumed by an earlier receive that could take nothing else.
+      if (s.delivered && s.recv_index < recv->recv_index &&
+          !consumer_raced[static_cast<std::size_t>(&s - sends_.data())])
+        continue;
       // Causally after this receive (e.g. sent in reply to it): could
       // not have been in flight yet.
       if (s.vc[recv->dest] >= recv->vc_after[recv->dest]) continue;
       candidates.push_back(&s);
     }
+    consumer_raced[recv->send_id] = candidates.size() >= 2;
     if (candidates.size() < 2) continue;
     std::sort(candidates.begin(), candidates.end(),
               [](const SendRecord* a, const SendRecord* b) {

@@ -7,8 +7,6 @@
 //     plus summation of node-to-node integrals for the FAS term;
 //   - interpolation: Lagrange polynomial evaluation of coarse corrections
 //     at the fine nodes.
-// A general spatial restriction hook is left as an extension point via
-// the template parameter of `Pfasst` (see controller.hpp).
 #pragma once
 
 #include <vector>
@@ -25,9 +23,6 @@ class TimeTransfer {
   TimeTransfer(const std::vector<double>& fine_nodes,
                const std::vector<double>& coarse_nodes);
 
-  int fine_count() const { return static_cast<int>(map_.size()) > 0
-                                      ? n_fine_
-                                      : n_fine_; }
   int coarse_count() const { return static_cast<int>(map_.size()); }
   /// Index of the fine node coinciding with coarse node m.
   int fine_index(int m) const { return map_[m]; }

@@ -16,35 +16,19 @@ std::int64_t range_overlap(std::int32_t a0, std::int32_t a1, std::int32_t b0,
   return std::max(0, std::min(a1, b1) - std::max(a0, b0));
 }
 
-/// SoA mirror of imported (LET) particles plus the rare id collisions with
-/// local particles: `matches` holds (import index, local sorted index)
-/// pairs, ascending by import index. In practice imports come from other
-/// ranks and never collide, but the per-particle path excludes by id, so
-/// the blocked path must too.
-struct ImportSoA {
-  std::vector<double> x, y, z, q, ax, ay, az;
+/// Imported (LET) particles as an SoA source mirror, plus the rare id
+/// collisions with local particles: `matches` holds (import index, local
+/// sorted index) pairs, ascending by import index. In practice imports
+/// come from other ranks and never collide, but the per-particle path
+/// excludes by id, so the blocked path must too.
+struct Imports {
+  SourceSoA src;
   std::vector<std::pair<std::size_t, std::int32_t>> matches;
 
-  ImportSoA(std::span<const TreeParticle> import_p,
-            const std::vector<TreeParticle>& local) {
-    const std::size_t m = import_p.size();
-    x.resize(m);
-    y.resize(m);
-    z.resize(m);
-    q.resize(m);
-    ax.resize(m);
-    ay.resize(m);
-    az.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      x[j] = import_p[j].x.x;
-      y[j] = import_p[j].x.y;
-      z[j] = import_p[j].x.z;
-      q[j] = import_p[j].q;
-      ax[j] = import_p[j].a.x;
-      ay[j] = import_p[j].a.y;
-      az[j] = import_p[j].a.z;
-    }
-    if (m == 0) return;
+  Imports(std::span<const TreeParticle> import_p,
+          const std::vector<TreeParticle>& local)
+      : src(import_p) {
+    if (import_p.empty()) return;
     // stnb-analyze: allow(det-unordered-iter) lookup-only: populated by
     // keyed emplace, read back via find() below; never iterated, so the
     // bucket order cannot reach matches/forces.
@@ -52,13 +36,11 @@ struct ImportSoA {
     id_to_sorted.reserve(local.size());
     for (std::size_t i = 0; i < local.size(); ++i)
       id_to_sorted.emplace(local[i].id, static_cast<std::int32_t>(i));
-    for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t j = 0; j < import_p.size(); ++j) {
       const auto it = id_to_sorted.find(import_p[j].id);
       if (it != id_to_sorted.end()) matches.emplace_back(j, it->second);
     }
   }
-
-  std::size_t size() const { return x.size(); }
 };
 
 /// Runs `batch(first_import, count, self_shift)` over [0, m) split around
@@ -67,9 +49,9 @@ struct ImportSoA {
 /// else in maximal runs with no skip (self_shift = nt puts the skip out of
 /// range). Returns the number of pair evaluations.
 template <typename BatchFn>
-std::uint64_t run_import_batches(const ImportSoA& imp, std::int32_t g_first,
+std::uint64_t run_import_batches(const Imports& imp, std::int32_t g_first,
                                  std::int32_t nt, BatchFn&& batch) {
-  const std::size_t m = imp.size();
+  const std::size_t m = imp.src.x.size();
   if (m == 0) return 0;
   std::size_t start = 0;
   std::uint64_t skipped = 0;
@@ -85,7 +67,43 @@ std::uint64_t run_import_batches(const ImportSoA& imp, std::int32_t g_first,
   return static_cast<std::uint64_t>(m) * nt - skipped;
 }
 
+/// Sizes `batch` for group g's targets, gathers their positions from the
+/// SoA mirror and zeroes the accumulators.
+template <typename Batch>
+void load_targets(const SourceSoA& src, const LeafGroup& g, Batch& batch) {
+  batch.resize(static_cast<std::size_t>(g.count));
+  std::copy_n(src.x.data() + g.first, g.count, batch.x.data());
+  std::copy_n(src.y.data() + g.first, g.count, batch.y.data());
+  std::copy_n(src.z.data() + g.first, g.count, batch.z.data());
+  batch.zero();
+}
+
+/// Runs body(gi) for every leaf group, on the pool when there is one.
+/// Named after ThreadPool::parallel_for so stnb-analyze applies its
+/// parallel_for rules (det-fp-reduce, fiber-tls) to the group bodies.
+template <typename Body>
+void parallel_for(ThreadPool* pool, std::size_t n_groups, Body&& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(0, n_groups, body);
+  } else {
+    for (std::size_t gi = 0; gi < n_groups; ++gi) body(gi);
+  }
+}
+
 }  // namespace
+
+SourceSoA::SourceSoA(std::span<const TreeParticle> ps) {
+  for (auto* v : {&x, &y, &z, &q, &ax, &ay, &az}) v->resize(ps.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    x[i] = ps[i].x.x;
+    y[i] = ps[i].x.y;
+    z[i] = ps[i].x.z;
+    q[i] = ps[i].q;
+    ax[i] = ps[i].a.x;
+    ay[i] = ps[i].a.y;
+    az[i] = ps[i].a.z;
+  }
+}
 
 std::vector<LeafGroup> build_leaf_groups(const Octree& tree, int group_size) {
   std::vector<LeafGroup> groups;
@@ -144,67 +162,32 @@ void collect_interactions(const Octree& tree, const LeafGroup& group,
 BlockedEvaluator::BlockedEvaluator(const Octree& tree, Config config)
     : tree_(tree),
       config_(config),
-      groups_(build_leaf_groups(tree, config.group_size)) {
-  const auto& ps = tree_.particles();
-  const std::size_t n = ps.size();
-  sx_.resize(n);
-  sy_.resize(n);
-  sz_.resize(n);
-  sq_.resize(n);
-  sax_.resize(n);
-  say_.resize(n);
-  saz_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sx_[i] = ps[i].x.x;
-    sy_[i] = ps[i].x.y;
-    sz_[i] = ps[i].x.z;
-    sq_[i] = ps[i].q;
-    sax_[i] = ps[i].a.x;
-    say_[i] = ps[i].a.y;
-    saz_[i] = ps[i].a.z;
-  }
-}
+      groups_(build_leaf_groups(tree, config.group_size)),
+      src_(tree.particles()) {}
 
-VortexField BlockedEvaluator::evaluate_vortex(
-    const kernels::AlgebraicKernel& kernel, FarFieldMode mode,
-    std::span<const Multipole> import_mp,
-    std::span<const TreeParticle> import_p) const {
-  return finish_vortex(kernel, begin_vortex(kernel, mode), import_mp,
-                       import_p);
-}
-
-VortexPartial BlockedEvaluator::begin_vortex(
-    const kernels::AlgebraicKernel& kernel, FarFieldMode mode) const {
+template <typename Terms>
+Accumulators<Terms> BlockedEvaluator::begin(
+    const typename Terms::Kernel& kernel, FarFieldMode mode) const {
   const std::size_t n = tree_.particles().size();
-  const auto& nodes = tree_.nodes();
-  VortexPartial partial;
-  partial.mode = mode;
-  partial.near_u.assign(n, Vec3{});
-  partial.near_grad.assign(n, Mat3{});
-  partial.far_u.assign(n, Vec3{});
-  partial.far_grad.assign(n, Mat3{});
-  partial.group_far.assign(groups_.size(), 0);
-  if (n == 0) return partial;
+  Accumulators<Terms> acc;
+  acc.mode = mode;
+  acc.value.assign(n, {});
+  acc.far.assign(n, {});
+  acc.group_far.assign(groups_.size(), 0);
+  if (n == 0) return acc;
 
   std::atomic<std::uint64_t> near{0}, far{0};
 
-  auto body = [&](std::size_t gi) {
+  parallel_for(config_.pool, groups_.size(), [&](std::size_t gi) {
     const LeafGroup& g = groups_[gi];
     const std::int32_t nt = g.count;
     // Pool-owned workspace, not thread_local: under the fiber scheduler a
     // work item can suspend and resume on a different OS thread, so the
     // scratch must travel with the work item (fiber-tls, tools/stnb-analyze).
-    // The free list amortizes the buffer allocations just as the old
-    // thread_local did.
-    auto ws = vortex_ws_.acquire();
-    kernels::VortexBatch& batch = ws->batch;
+    auto ws = std::get<Pool<Terms>>(workspaces_).acquire();
+    typename Terms::Batch& batch = ws->batch;
     InteractionList& il = ws->il;
-    batch.resize(static_cast<std::size_t>(nt));
-    std::copy_n(sx_.data() + g.first, nt, batch.x.data());
-    std::copy_n(sy_.data() + g.first, nt, batch.y.data());
-    std::copy_n(sz_.data() + g.first, nt, batch.z.data());
-    batch.zero();
-
+    load_targets(src_, g, batch);
     collect_interactions(tree_, g, config_.theta, il);
 
     std::uint64_t my_near = 0;
@@ -212,11 +195,9 @@ VortexPartial BlockedEvaluator::begin_vortex(
       // Sources and targets index the same sorted array, so the self pair
       // of source r.first + s is target (r.first + s) - g.first: a fixed
       // shift, resolved inside the batch by index comparison.
-      kernel.accumulate_batch(
-          sx_.data() + r.first, sy_.data() + r.first, sz_.data() + r.first,
-          sax_.data() + r.first, say_.data() + r.first, saz_.data() + r.first,
-          static_cast<std::size_t>(r.count),
-          static_cast<std::int64_t>(r.first) - g.first, batch);
+      Terms::near(kernel, src_, static_cast<std::size_t>(r.first),
+                  static_cast<std::size_t>(r.count),
+                  static_cast<std::int64_t>(r.first) - g.first, batch);
       my_near += static_cast<std::uint64_t>(r.count) * nt -
                  range_overlap(r.first, r.first + r.count, g.first,
                                g.first + nt);
@@ -225,322 +206,131 @@ VortexPartial BlockedEvaluator::begin_vortex(
     // Local far field, node-major into a separate SoA accumulator block.
     const std::size_t n_far =
         mode == FarFieldMode::kSkip ? 0 : il.far.size();
-    kernels::VortexBatch& far_batch = ws->far_batch;
+    typename Terms::Batch& far_batch = ws->far_batch;
     if (n_far > 0) {
-      far_batch.resize(static_cast<std::size_t>(nt));
-      std::copy_n(sx_.data() + g.first, nt, far_batch.x.data());
-      std::copy_n(sy_.data() + g.first, nt, far_batch.y.data());
-      std::copy_n(sz_.data() + g.first, nt, far_batch.z.data());
-      far_batch.zero();
+      load_targets(src_, g, far_batch);
       for (const std::int32_t node_idx : il.far)
-        nodes[node_idx].mp.evaluate_biot_savart_batch(far_batch, &kernel);
+        Terms::far(kernel, tree_.nodes()[node_idx].mp, far_batch);
     }
 
-    // Snapshot the accumulators (lossless double copies; finish_vortex
-    // reloads them and continues accumulating in the same order).
+    // Snapshot the accumulators (lossless double copies; finish reloads
+    // them and continues accumulating in the same order).
     for (std::int32_t t = 0; t < nt; ++t) {
-      const std::int32_t idx = g.first + t;
-      partial.near_u[idx] = {batch.ux[t], batch.uy[t], batch.uz[t]};
-      for (int c = 0; c < 9; ++c) partial.near_grad[idx].m[c] = batch.j[c][t];
-      if (n_far > 0) {
-        partial.far_u[idx] = {far_batch.ux[t], far_batch.uy[t],
-                              far_batch.uz[t]};
-        for (int c = 0; c < 9; ++c)
-          partial.far_grad[idx].m[c] = far_batch.j[c][t];
-      }
+      acc.value[g.first + t] = Terms::load(batch, t);
+      if (n_far > 0) acc.far[g.first + t] = Terms::load(far_batch, t);
     }
-    partial.group_far[gi] = static_cast<std::int32_t>(n_far);
+    acc.group_far[gi] = static_cast<std::int32_t>(n_far);
     near.fetch_add(my_near, std::memory_order_relaxed);
     far.fetch_add(static_cast<std::uint64_t>(n_far) * nt,
                   std::memory_order_relaxed);
-  };
-
-  if (config_.pool != nullptr) {
-    config_.pool->parallel_for(0, groups_.size(), body);
-  } else {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) body(gi);
-  }
-  partial.near = near.load();
-  partial.far = far.load();
-  return partial;
+  });
+  acc.near_count = near.load();
+  acc.far_count = far.load();
+  return acc;
 }
 
-VortexField BlockedEvaluator::finish_vortex(
-    const kernels::AlgebraicKernel& kernel, VortexPartial partial,
+template <typename Terms>
+Accumulators<Terms> BlockedEvaluator::finish(
+    const typename Terms::Kernel& kernel, Accumulators<Terms> acc,
     std::span<const Multipole> import_mp,
     std::span<const TreeParticle> import_p) const {
   const auto& ps = tree_.particles();
-  const std::size_t n = ps.size();
-  const FarFieldMode mode = partial.mode;
-  VortexField out;
-  out.u.assign(n, Vec3{});
-  out.grad.assign(n, Mat3{});
-  if (mode == FarFieldMode::kSeparate) {
-    out.far_u.assign(n, Vec3{});
-    out.far_grad.assign(n, Mat3{});
-  }
-  if (n == 0) return out;
+  const FarFieldMode mode = acc.mode;
+  if (ps.empty()) return acc;
 
-  const ImportSoA imp(import_p, ps);
+  const Imports imp(import_p, ps);
   std::atomic<std::uint64_t> near{0}, far{0};
 
-  auto body = [&](std::size_t gi) {
+  parallel_for(config_.pool, groups_.size(), [&](std::size_t gi) {
     const LeafGroup& g = groups_[gi];
     const std::int32_t nt = g.count;
-    auto ws = vortex_ws_.acquire();
-    kernels::VortexBatch& batch = ws->batch;
-    batch.resize(static_cast<std::size_t>(nt));
-    std::copy_n(sx_.data() + g.first, nt, batch.x.data());
-    std::copy_n(sy_.data() + g.first, nt, batch.y.data());
-    std::copy_n(sz_.data() + g.first, nt, batch.z.data());
-    batch.zero();
+    auto ws = std::get<Pool<Terms>>(workspaces_).acquire();
+    typename Terms::Batch& batch = ws->batch;
     // Reload the local near-field accumulators and continue with the
-    // imports on top: the same accumulation order as the one-shot path.
-    for (std::int32_t t = 0; t < nt; ++t) {
-      const std::int32_t idx = g.first + t;
-      batch.ux[t] = partial.near_u[idx].x;
-      batch.uy[t] = partial.near_u[idx].y;
-      batch.uz[t] = partial.near_u[idx].z;
-      for (int c = 0; c < 9; ++c) batch.j[c][t] = partial.near_grad[idx].m[c];
-    }
+    // imports on top: the same accumulation order as a one-shot pass.
+    load_targets(src_, g, batch);
+    for (std::int32_t t = 0; t < nt; ++t)
+      Terms::store(acc.value[g.first + t], batch, t);
 
-    std::uint64_t my_near = run_import_batches(
+    const std::uint64_t my_near = run_import_batches(
         imp, g.first, nt,
         [&](std::size_t first, std::size_t count, std::int64_t self_shift) {
-          kernel.accumulate_batch(imp.x.data() + first, imp.y.data() + first,
-                                  imp.z.data() + first, imp.ax.data() + first,
-                                  imp.ay.data() + first, imp.az.data() + first,
-                                  count, self_shift, batch);
+          Terms::near(kernel, imp.src, first, count, self_shift, batch);
         });
 
-    // Far field: local node subtotals (already accumulated by
-    // begin_vortex) plus the imported multipoles, in that order.
+    // Far field: local node subtotals (already accumulated by begin) plus
+    // the imported multipoles, in that order.
     const std::size_t n_far =
         mode == FarFieldMode::kSkip
             ? 0
-            : static_cast<std::size_t>(partial.group_far[gi]) +
-                  import_mp.size();
-    kernels::VortexBatch& far_batch = ws->far_batch;
+            : static_cast<std::size_t>(acc.group_far[gi]) + import_mp.size();
+    typename Terms::Batch& far_batch = ws->far_batch;
     if (n_far > 0) {
-      far_batch.resize(static_cast<std::size_t>(nt));
-      std::copy_n(sx_.data() + g.first, nt, far_batch.x.data());
-      std::copy_n(sy_.data() + g.first, nt, far_batch.y.data());
-      std::copy_n(sz_.data() + g.first, nt, far_batch.z.data());
-      far_batch.zero();
-      for (std::int32_t t = 0; t < nt; ++t) {
-        const std::int32_t idx = g.first + t;
-        far_batch.ux[t] = partial.far_u[idx].x;
-        far_batch.uy[t] = partial.far_u[idx].y;
-        far_batch.uz[t] = partial.far_u[idx].z;
-        for (int c = 0; c < 9; ++c)
-          far_batch.j[c][t] = partial.far_grad[idx].m[c];
-      }
-      for (const Multipole& mp : import_mp)
-        mp.evaluate_biot_savart_batch(far_batch, &kernel);
+      load_targets(src_, g, far_batch);
+      for (std::int32_t t = 0; t < nt; ++t)
+        Terms::store(acc.far[g.first + t], far_batch, t);
+      for (const Multipole& mp : import_mp) Terms::far(kernel, mp, far_batch);
     }
     for (std::int32_t t = 0; t < nt; ++t) {
       const std::int32_t idx = g.first + t;
-      Vec3 u{batch.ux[t], batch.uy[t], batch.uz[t]};
-      Mat3 grad;
-      for (int c = 0; c < 9; ++c) grad.m[c] = batch.j[c][t];
+      typename Terms::Value v = Terms::load(batch, t);
       if (n_far > 0) {
         // Guarded by n_far > 0 so a far-free group (e.g. theta = 0)
         // stays bit-identical to the batch accumulators.
-        Vec3 fu{far_batch.ux[t], far_batch.uy[t], far_batch.uz[t]};
-        Mat3 fg;
-        for (int c = 0; c < 9; ++c) fg.m[c] = far_batch.j[c][t];
+        const typename Terms::Value fv = Terms::load(far_batch, t);
         if (mode == FarFieldMode::kCombined) {
-          u += fu;
-          grad += fg;
+          Terms::add(v, fv);
         } else {
-          out.far_u[idx] = fu;
-          out.far_grad[idx] = fg;
+          acc.far[idx] = fv;
         }
       }
-      out.u[idx] = u;
-      out.grad[idx] = grad;
+      acc.value[idx] = v;
     }
     near.fetch_add(my_near, std::memory_order_relaxed);
     if (mode != FarFieldMode::kSkip)
       far.fetch_add(static_cast<std::uint64_t>(import_mp.size()) * nt,
                     std::memory_order_relaxed);
-  };
+  });
+  acc.near_count += near.load();
+  acc.far_count += far.load();
+  return acc;
+}
 
-  if (config_.pool != nullptr) {
-    config_.pool->parallel_for(0, groups_.size(), body);
-  } else {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) body(gi);
-  }
-  out.near = partial.near + near.load();
-  out.far = partial.far + far.load();
+template Accumulators<VortexTerms> BlockedEvaluator::begin<VortexTerms>(
+    const kernels::AlgebraicKernel&, FarFieldMode) const;
+template Accumulators<VortexTerms> BlockedEvaluator::finish<VortexTerms>(
+    const kernels::AlgebraicKernel&, Accumulators<VortexTerms>,
+    std::span<const Multipole>, std::span<const TreeParticle>) const;
+template Accumulators<CoulombTerms> BlockedEvaluator::begin<CoulombTerms>(
+    const kernels::CoulombKernel&, FarFieldMode) const;
+template Accumulators<CoulombTerms> BlockedEvaluator::finish<CoulombTerms>(
+    const kernels::CoulombKernel&, Accumulators<CoulombTerms>,
+    std::span<const Multipole>, std::span<const TreeParticle>) const;
+
+VortexField BlockedEvaluator::evaluate_vortex(
+    const kernels::AlgebraicKernel& kernel, FarFieldMode mode,
+    std::span<const Multipole> import_mp,
+    std::span<const TreeParticle> import_p) const {
+  const Accumulators<VortexTerms> acc = finish<VortexTerms>(
+      kernel, begin<VortexTerms>(kernel, mode), import_mp, import_p);
+  VortexField out;
+  VortexTerms::split(acc.value, out.u, out.grad);
+  if (mode == FarFieldMode::kSeparate)
+    VortexTerms::split(acc.far, out.far_u, out.far_grad);
+  out.near = acc.near_count;
+  out.far = acc.far_count;
   return out;
 }
 
 CoulombField BlockedEvaluator::evaluate_coulomb(
     const kernels::CoulombKernel& kernel, std::span<const Multipole> import_mp,
     std::span<const TreeParticle> import_p) const {
-  return finish_coulomb(kernel, begin_coulomb(kernel), import_mp, import_p);
-}
-
-CoulombPartial BlockedEvaluator::begin_coulomb(
-    const kernels::CoulombKernel& kernel) const {
-  const std::size_t n = tree_.particles().size();
-  const auto& nodes = tree_.nodes();
-  CoulombPartial partial;
-  partial.phi.assign(n, 0.0);
-  partial.e.assign(n, Vec3{});
-  partial.far_phi.assign(n, 0.0);
-  partial.far_e.assign(n, Vec3{});
-  partial.group_far.assign(groups_.size(), 0);
-  if (n == 0) return partial;
-
-  std::atomic<std::uint64_t> near{0}, far{0};
-
-  auto body = [&](std::size_t gi) {
-    const LeafGroup& g = groups_[gi];
-    const std::int32_t nt = g.count;
-    // Pool-owned workspace for the same fiber-safety reason as the vortex
-    // path above.
-    auto ws = coulomb_ws_.acquire();
-    kernels::CoulombBatch& batch = ws->batch;
-    InteractionList& il = ws->il;
-    batch.resize(static_cast<std::size_t>(nt));
-    std::copy_n(sx_.data() + g.first, nt, batch.x.data());
-    std::copy_n(sy_.data() + g.first, nt, batch.y.data());
-    std::copy_n(sz_.data() + g.first, nt, batch.z.data());
-    batch.zero();
-
-    collect_interactions(tree_, g, config_.theta, il);
-
-    std::uint64_t my_near = 0;
-    for (const SourceRange& r : il.near) {
-      kernel.accumulate_batch(
-          sx_.data() + r.first, sy_.data() + r.first, sz_.data() + r.first,
-          sq_.data() + r.first, static_cast<std::size_t>(r.count),
-          static_cast<std::int64_t>(r.first) - g.first, batch);
-      my_near += static_cast<std::uint64_t>(r.count) * nt -
-                 range_overlap(r.first, r.first + r.count, g.first,
-                               g.first + nt);
-    }
-
-    const std::size_t n_far = il.far.size();
-    kernels::CoulombBatch& far_batch = ws->far_batch;
-    if (n_far > 0) {
-      far_batch.resize(static_cast<std::size_t>(nt));
-      std::copy_n(sx_.data() + g.first, nt, far_batch.x.data());
-      std::copy_n(sy_.data() + g.first, nt, far_batch.y.data());
-      std::copy_n(sz_.data() + g.first, nt, far_batch.z.data());
-      far_batch.zero();
-      for (const std::int32_t node_idx : il.far)
-        nodes[node_idx].mp.evaluate_coulomb_batch(far_batch);
-    }
-    for (std::int32_t t = 0; t < nt; ++t) {
-      const std::int32_t idx = g.first + t;
-      partial.phi[idx] = batch.phi[t];
-      partial.e[idx] = {batch.ex[t], batch.ey[t], batch.ez[t]};
-      if (n_far > 0) {
-        partial.far_phi[idx] = far_batch.phi[t];
-        partial.far_e[idx] = {far_batch.ex[t], far_batch.ey[t],
-                              far_batch.ez[t]};
-      }
-    }
-    partial.group_far[gi] = static_cast<std::int32_t>(n_far);
-    near.fetch_add(my_near, std::memory_order_relaxed);
-    far.fetch_add(static_cast<std::uint64_t>(n_far) * nt,
-                  std::memory_order_relaxed);
-  };
-
-  if (config_.pool != nullptr) {
-    config_.pool->parallel_for(0, groups_.size(), body);
-  } else {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) body(gi);
-  }
-  partial.near = near.load();
-  partial.far = far.load();
-  return partial;
-}
-
-CoulombField BlockedEvaluator::finish_coulomb(
-    const kernels::CoulombKernel& kernel, CoulombPartial partial,
-    std::span<const Multipole> import_mp,
-    std::span<const TreeParticle> import_p) const {
-  const auto& ps = tree_.particles();
-  const std::size_t n = ps.size();
+  const Accumulators<CoulombTerms> acc = finish<CoulombTerms>(
+      kernel, begin<CoulombTerms>(kernel), import_mp, import_p);
   CoulombField out;
-  out.phi.assign(n, 0.0);
-  out.e.assign(n, Vec3{});
-  if (n == 0) return out;
-
-  const ImportSoA imp(import_p, ps);
-  std::atomic<std::uint64_t> near{0}, far{0};
-
-  auto body = [&](std::size_t gi) {
-    const LeafGroup& g = groups_[gi];
-    const std::int32_t nt = g.count;
-    auto ws = coulomb_ws_.acquire();
-    kernels::CoulombBatch& batch = ws->batch;
-    batch.resize(static_cast<std::size_t>(nt));
-    std::copy_n(sx_.data() + g.first, nt, batch.x.data());
-    std::copy_n(sy_.data() + g.first, nt, batch.y.data());
-    std::copy_n(sz_.data() + g.first, nt, batch.z.data());
-    batch.zero();
-    for (std::int32_t t = 0; t < nt; ++t) {
-      const std::int32_t idx = g.first + t;
-      batch.phi[t] = partial.phi[idx];
-      batch.ex[t] = partial.e[idx].x;
-      batch.ey[t] = partial.e[idx].y;
-      batch.ez[t] = partial.e[idx].z;
-    }
-
-    std::uint64_t my_near = run_import_batches(
-        imp, g.first, nt,
-        [&](std::size_t first, std::size_t count, std::int64_t self_shift) {
-          kernel.accumulate_batch(imp.x.data() + first, imp.y.data() + first,
-                                  imp.z.data() + first, imp.q.data() + first,
-                                  count, self_shift, batch);
-        });
-
-    const std::size_t n_far =
-        static_cast<std::size_t>(partial.group_far[gi]) + import_mp.size();
-    kernels::CoulombBatch& far_batch = ws->far_batch;
-    if (n_far > 0) {
-      far_batch.resize(static_cast<std::size_t>(nt));
-      std::copy_n(sx_.data() + g.first, nt, far_batch.x.data());
-      std::copy_n(sy_.data() + g.first, nt, far_batch.y.data());
-      std::copy_n(sz_.data() + g.first, nt, far_batch.z.data());
-      far_batch.zero();
-      for (std::int32_t t = 0; t < nt; ++t) {
-        const std::int32_t idx = g.first + t;
-        far_batch.phi[t] = partial.far_phi[idx];
-        far_batch.ex[t] = partial.far_e[idx].x;
-        far_batch.ey[t] = partial.far_e[idx].y;
-        far_batch.ez[t] = partial.far_e[idx].z;
-      }
-      for (const Multipole& mp : import_mp) mp.evaluate_coulomb_batch(far_batch);
-    }
-    for (std::int32_t t = 0; t < nt; ++t) {
-      const std::int32_t idx = g.first + t;
-      double phi = batch.phi[t];
-      Vec3 e{batch.ex[t], batch.ey[t], batch.ez[t]};
-      if (n_far > 0) {
-        phi += far_batch.phi[t];
-        e += Vec3{far_batch.ex[t], far_batch.ey[t], far_batch.ez[t]};
-      }
-      out.phi[idx] = phi;
-      out.e[idx] = e;
-    }
-    near.fetch_add(my_near, std::memory_order_relaxed);
-    far.fetch_add(static_cast<std::uint64_t>(import_mp.size()) * nt,
-                  std::memory_order_relaxed);
-  };
-
-  if (config_.pool != nullptr) {
-    config_.pool->parallel_for(0, groups_.size(), body);
-  } else {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) body(gi);
-  }
-  out.near = partial.near + near.load();
-  out.far = partial.far + far.load();
+  CoulombTerms::split(acc.value, out.phi, out.e);
+  out.near = acc.near_count;
+  out.far = acc.far_count;
   return out;
 }
 

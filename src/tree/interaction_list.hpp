@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "kernels/algebraic.hpp"
@@ -90,35 +91,122 @@ struct CoulombField {
   std::uint64_t far = 0;
 };
 
-/// Snapshot of a half-finished evaluation: the *local* contributions
-/// (near-field source ranges + local far nodes) accumulated per sorted
-/// particle, with the import work still outstanding. Produced by
-/// BlockedEvaluator::begin_*, consumed by finish_*. The split exists so a
-/// distributed caller (tree/parallel) can evaluate the local tree while
-/// the LET import data is still in flight and apply the imports when they
-/// arrive; the composition finish(begin()) is bit-identical to the
-/// one-shot evaluate_* because the accumulators are stored and reloaded
-/// losslessly and the accumulation order is unchanged (local near, then
-/// import near; local far nodes, then import multipoles).
-struct VortexPartial {
-  FarFieldMode mode = FarFieldMode::kCombined;
-  std::vector<Vec3> near_u;    // near-field batch accumulators
-  std::vector<Mat3> near_grad;
-  std::vector<Vec3> far_u;     // far-field batch accumulators
-  std::vector<Mat3> far_grad;
-  std::vector<std::int32_t> group_far;  // local far nodes per leaf group
-  std::uint64_t near = 0;  // local particle-particle evaluations
-  std::uint64_t far = 0;   // local particle-multipole evaluations
+/// SoA mirror of a particle array: positions plus both charge kinds, so
+/// either kernel addresses a source range in place (no per-call gather).
+struct SourceSoA {
+  std::vector<double> x, y, z, q, ax, ay, az;
+
+  explicit SourceSoA(std::span<const TreeParticle> ps);
 };
 
-struct CoulombPartial {
-  std::vector<double> phi;
-  std::vector<Vec3> e;
-  std::vector<double> far_phi;
-  std::vector<Vec3> far_e;
-  std::vector<std::int32_t> group_far;
-  std::uint64_t near = 0;
-  std::uint64_t far = 0;
+/// The kernel concept of the blocked evaluator and of the distributed
+/// solve (tree/parallel): one terms struct per kernel names the kernel and
+/// its target batch, the source SoA fields the near call reads, the far
+/// call, and the per-target result record `Value` (the batch's
+/// accumulator components). The physics stays in kernels/ and
+/// tree/multipole; a terms struct only routes data to it.
+struct VortexTerms {
+  using Kernel = kernels::AlgebraicKernel;
+  using Batch = kernels::VortexBatch;
+  struct Value {
+    Vec3 u;
+    Mat3 grad;
+  };
+
+  static void near(const Kernel& kernel, const SourceSoA& src,
+                   std::size_t first, std::size_t count,
+                   std::int64_t self_shift, Batch& tgt) {
+    kernel.accumulate_batch(src.x.data() + first, src.y.data() + first,
+                            src.z.data() + first, src.ax.data() + first,
+                            src.ay.data() + first, src.az.data() + first,
+                            count, self_shift, tgt);
+  }
+  static void far(const Kernel& kernel, const Multipole& mp, Batch& tgt) {
+    mp.evaluate_biot_savart_batch(tgt, &kernel);
+  }
+  static Value load(const Batch& b, std::size_t t) {
+    Value v{{b.ux[t], b.uy[t], b.uz[t]}, {}};
+    for (int c = 0; c < 9; ++c) v.grad.m[c] = b.j[c][t];
+    return v;
+  }
+  static void store(const Value& v, Batch& b, std::size_t t) {
+    b.ux[t] = v.u.x;
+    b.uy[t] = v.u.y;
+    b.uz[t] = v.u.z;
+    for (int c = 0; c < 9; ++c) b.j[c][t] = v.grad.m[c];
+  }
+  static void add(Value& to, const Value& v) {
+    to.u += v.u;
+    to.grad += v.grad;
+  }
+  /// Copies result records into the public result columns.
+  static void split(const std::vector<Value>& v, std::vector<Vec3>& u,
+                    std::vector<Mat3>& grad) {
+    u.resize(v.size());
+    grad.resize(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      u[i] = v[i].u;
+      grad[i] = v[i].grad;
+    }
+  }
+};
+
+struct CoulombTerms {
+  using Kernel = kernels::CoulombKernel;
+  using Batch = kernels::CoulombBatch;
+  struct Value {
+    double phi = 0.0;
+    Vec3 e;
+  };
+
+  static void near(const Kernel& kernel, const SourceSoA& src,
+                   std::size_t first, std::size_t count,
+                   std::int64_t self_shift, Batch& tgt) {
+    kernel.accumulate_batch(src.x.data() + first, src.y.data() + first,
+                            src.z.data() + first, src.q.data() + first, count,
+                            self_shift, tgt);
+  }
+  static void far(const Kernel&, const Multipole& mp, Batch& tgt) {
+    mp.evaluate_coulomb_batch(tgt);
+  }
+  static Value load(const Batch& b, std::size_t t) {
+    return {b.phi[t], {b.ex[t], b.ey[t], b.ez[t]}};
+  }
+  static void store(const Value& v, Batch& b, std::size_t t) {
+    b.phi[t] = v.phi;
+    b.ex[t] = v.e.x;
+    b.ey[t] = v.e.y;
+    b.ez[t] = v.e.z;
+  }
+  static void add(Value& to, const Value& v) {
+    to.phi += v.phi;
+    to.e += v.e;
+  }
+  static void split(const std::vector<Value>& v, std::vector<double>& phi,
+                    std::vector<Vec3>& e) {
+    phi.resize(v.size());
+    e.resize(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      phi[i] = v[i].phi;
+      e[i] = v[i].e;
+    }
+  }
+};
+
+/// Per-target accumulators of a blocked evaluation (sorted order).
+/// BlockedEvaluator::begin fills in the *local* contributions; finish
+/// adds the imports and leaves the result in `value` (and `far` under
+/// kSeparate). Stores and reloads are lossless and the accumulation order
+/// is fixed (local near, then import near; local far nodes, then import
+/// multipoles), so the split costs no bits.
+template <typename Terms>
+struct Accumulators {
+  FarFieldMode mode = FarFieldMode::kCombined;
+  std::vector<typename Terms::Value> value;  // near field, then the result
+  std::vector<typename Terms::Value> far;    // far field
+  std::vector<std::int32_t> group_far;       // local far nodes per leaf group
+  std::uint64_t near_count = 0;  // particle-particle evaluations so far
+  std::uint64_t far_count = 0;   // particle-multipole evaluations so far
 };
 
 /// Evaluates all tree particles as targets, one blocked traversal per leaf
@@ -156,49 +244,41 @@ class BlockedEvaluator {
                                 std::span<const Multipole> import_mp = {},
                                 std::span<const TreeParticle> import_p = {}) const;
 
-  /// Two-phase evaluation for communication overlap: begin_* runs the
-  /// interaction-list walks plus all *local* work (near source ranges,
-  /// local far nodes) and snapshots the accumulators; finish_* applies
-  /// the imports (no tree walk needed) and produces the final field.
-  /// `evaluate_*` is exactly `finish_*(kernel, begin_*(kernel), ...)`, and
-  /// the two-phase path is bit-identical to the one-shot path.
-  VortexPartial begin_vortex(const kernels::AlgebraicKernel& kernel,
-                             FarFieldMode mode = FarFieldMode::kCombined) const;
-  VortexField finish_vortex(const kernels::AlgebraicKernel& kernel,
-                            VortexPartial partial,
-                            std::span<const Multipole> import_mp = {},
-                            std::span<const TreeParticle> import_p = {}) const;
-  CoulombPartial begin_coulomb(const kernels::CoulombKernel& kernel) const;
-  CoulombField finish_coulomb(const kernels::CoulombKernel& kernel,
-                              CoulombPartial partial,
-                              std::span<const Multipole> import_mp = {},
-                              std::span<const TreeParticle> import_p = {}) const;
+  /// Two-phase evaluation for communication overlap (tree/parallel runs
+  /// the local half while LET imports are in flight), instantiated for
+  /// VortexTerms and CoulombTerms: begin walks the tree and does all
+  /// *local* work; finish applies the imports without a walk.
+  /// evaluate_* is finish(begin()).
+  template <typename Terms>
+  Accumulators<Terms> begin(const typename Terms::Kernel& kernel,
+                            FarFieldMode mode = FarFieldMode::kCombined) const;
+  template <typename Terms>
+  Accumulators<Terms> finish(const typename Terms::Kernel& kernel,
+                             Accumulators<Terms> acc,
+                             std::span<const Multipole> import_mp,
+                             std::span<const TreeParticle> import_p) const;
 
  private:
   // Per-work-item scratch. Pool-owned (not thread_local) so a leaf-group
   // work item that suspends under the fiber scheduler keeps its buffers
   // when it resumes on a different OS thread; the pools amortize the
   // allocations to the peak number of concurrent groups.
-  struct VortexWorkspace {
-    kernels::VortexBatch batch;
-    kernels::VortexBatch far_batch;
+  template <typename Terms>
+  struct Workspace {
+    typename Terms::Batch batch;
+    typename Terms::Batch far_batch;
     InteractionList il;
   };
-  struct CoulombWorkspace {
-    kernels::CoulombBatch batch;
-    kernels::CoulombBatch far_batch;
-    InteractionList il;
-  };
+  template <typename Terms>
+  using Pool = WorkspacePool<Workspace<Terms>>;
 
   const Octree& tree_;
   Config config_;
   std::vector<LeafGroup> groups_;
-  // SoA mirror of tree_.particles(): positions, scalar and vector charges.
-  std::vector<double> sx_, sy_, sz_, sq_, sax_, say_, saz_;
-  // mutable: evaluate_* are logically const (results are returned, the
+  SourceSoA src_;  // mirror of tree_.particles()
+  // mutable: evaluations are logically const (results are returned, the
   // tree is untouched); the pools only recycle scratch buffers.
-  mutable WorkspacePool<VortexWorkspace> vortex_ws_;
-  mutable WorkspacePool<CoulombWorkspace> coulomb_ws_;
+  mutable std::tuple<Pool<VortexTerms>, Pool<CoulombTerms>> workspaces_;
 };
 
 }  // namespace stnb::tree

@@ -1,22 +1,30 @@
 #include "tree/octree.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace stnb::tree {
 
 Octree::Octree(std::vector<TreeParticle> particles, const Domain& domain,
                Config config)
-    : domain_(domain), config_(config), particles_(std::move(particles)) {
-  for (auto& p : particles_) {
+    : domain_(domain), config_(config) {
+  for (auto& p : particles) {
     if (!domain_.contains(p.x))
       throw std::invalid_argument("particle outside tree domain");
     p.key = particle_key(p.x, domain_);
   }
-  std::sort(particles_.begin(), particles_.end(),
-            [](const TreeParticle& a, const TreeParticle& b) {
-              return a.key < b.key;
+  // Sort a permutation and gather: std::sort makes the same comparisons
+  // either way, so this is the particle order a direct sort gives (ties
+  // included), and order_ maps it back to the input.
+  order_.resize(particles.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(),
+            [&particles](std::int32_t a, std::int32_t b) {
+              return particles[a].key < particles[b].key;
             });
+  particles_.reserve(particles.size());
+  for (const std::int32_t i : order_) particles_.push_back(particles[i]);
   nodes_.reserve(2 * particles_.size() / std::max(1, config_.leaf_capacity) +
                  64);
   build_recursive(kRootKey, 0, static_cast<std::int32_t>(particles_.size()),
@@ -91,16 +99,6 @@ std::int32_t Octree::build_recursive(std::uint64_t key, std::int32_t first,
   for (int oct = 0; oct < 8; ++oct)
     if (children[oct] >= 0) node.mp.add_shifted(nodes_[children[oct]].mp);
   return index;
-}
-
-TreeStats Octree::stats() const {
-  TreeStats s;
-  s.node_count = nodes_.size();
-  for (const auto& n : nodes_) {
-    if (n.leaf) ++s.leaf_count;
-    s.max_depth = std::max(s.max_depth, n.level());
-  }
-  return s;
 }
 
 std::vector<std::int32_t> Octree::branch_nodes(std::uint64_t range_min,

@@ -33,15 +33,19 @@ struct Node {
   float box_size = 0.0f;  // geometric side length (float: MAC only)
   bool leaf = true;
   Multipole mp;
-
-  int level() const { return key_level(key); }
 };
 
-struct TreeStats {
-  std::size_t node_count = 0;
-  std::size_t leaf_count = 0;
-  int max_depth = 0;
-};
+/// Squared distance from `x` to the nearest point of the box [lo, hi]
+/// (0 inside it): the MAC distance of every box-targeted walk.
+inline double box_distance2(const Vec3& x, const Vec3& lo, const Vec3& hi) {
+  double d2 = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    const double v = x[k];
+    const double d = v < lo[k] ? lo[k] - v : (v > hi[k] ? v - hi[k] : 0.0);
+    d2 += d * d;
+  }
+  return d2;
+}
 
 class Octree {
  public:
@@ -55,8 +59,8 @@ class Octree {
 
   /// Builds the tree over `particles` inside `domain` (which must contain
   /// them; use Domain::bounding_cube). Particles are key-stamped and
-  /// sorted internally; use `particles()` for the sorted order and the
-  /// stored `id` to map back.
+  /// sorted internally; use `particles()` for the sorted order and
+  /// `order()` (or the stored `id`) to map back.
   Octree(std::vector<TreeParticle> particles, const Domain& domain,
          Config config);
   Octree(std::vector<TreeParticle> particles, const Domain& domain)
@@ -64,9 +68,10 @@ class Octree {
 
   const Domain& domain() const { return domain_; }
   const std::vector<TreeParticle>& particles() const { return particles_; }
+  /// The sort permutation: particles()[i] is input particle order()[i].
+  const std::vector<std::int32_t>& order() const { return order_; }
   const std::vector<Node>& nodes() const { return nodes_; }
   const Node& root() const { return nodes_.front(); }
-  TreeStats stats() const;
 
   /// MAC traversal for a target position. For every accepted cluster
   /// calls `far(node)`; for every leaf that must be resolved calls
@@ -116,14 +121,7 @@ class Octree {
     while (top > 0) {
       const Node& node = nodes_[stack[--top]];
       const double s = node.box_size;
-      const Vec3& center = node.mp.center;
-      double d2 = 0.0;
-      for (int k = 0; k < 3; ++k) {
-        const double v = center[k];
-        const double d =
-            v < lo[k] ? lo[k] - v : (v > hi[k] ? v - hi[k] : 0.0);
-        d2 += d * d;
-      }
+      const double d2 = box_distance2(node.mp.center, lo, hi);
       if (s * s <= theta2 * d2 && node.count > 1) {
         far(node);
       } else if (node.leaf) {
@@ -150,6 +148,7 @@ class Octree {
   Domain domain_;
   Config config_;
   std::vector<TreeParticle> particles_;
+  std::vector<std::int32_t> order_;
   std::vector<Node> nodes_;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <span>
-#include <unordered_map>
 
 #include "tree/interaction_list.hpp"
 
@@ -12,24 +11,24 @@ namespace stnb::tree {
 
 namespace {
 
-/// Particle on the wire during repartitioning: carries routing info so
+/// Where a partitioned particle came from: the caller's rank and index.
+struct Origin {
+  std::int32_t rank = 0;
+  std::int32_t index = 0;
+};
+
+/// Particle on the wire during repartitioning: carries its origin so
 /// force results can be returned to the caller's layout.
 struct WireParticle {
   TreeParticle p;
-  std::int32_t orig_rank = 0;
-  std::int32_t orig_index = 0;
+  Origin origin;
 };
 
-struct VortexWire {
-  std::int32_t orig_index = 0;
-  Vec3 u;
-  Mat3 grad;
-};
-
-struct CoulombWire {
-  std::int32_t orig_index = 0;
-  double phi = 0.0;
-  Vec3 e;
+/// One target's result on its way back to the caller's index.
+template <typename Value>
+struct Routed {
+  std::int32_t index = 0;
+  Value value;
 };
 
 struct RankBox {
@@ -41,35 +40,28 @@ struct RankBox {
 constexpr int kTagLetMp = 41000;
 constexpr int kTagLetP = 41001;
 
-double min_distance_to_box(const Vec3& x, const RankBox& box) {
-  double d2 = 0.0;
-  for (int c = 0; c < 3; ++c) {
-    const double v = x[c];
-    const double lo = box.lo[c], hi = box.hi[c];
-    const double d = v < lo ? lo - v : (v > hi ? v - hi : 0.0);
-    d2 += d * d;
+/// Typed alltoallv: one vector per destination in, every source's
+/// elements concatenated in source-rank order out.
+template <typename T>
+std::vector<T> alltoallv(mpsim::Comm& comm,
+                         const std::vector<std::vector<T>>& to_each) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::vector<std::vector<std::byte>> payloads(to_each.size());
+  for (std::size_t r = 0; r < to_each.size(); ++r) {
+    payloads[r].resize(to_each[r].size() * sizeof(T));
+    // memcpy forbids null pointers even for zero sizes (UBSan enforces
+    // it), and an empty vector's data() is null.
+    if (!payloads[r].empty())
+      std::memcpy(payloads[r].data(), to_each[r].data(), payloads[r].size());
   }
-  return std::sqrt(d2);
-}
-
-template <typename T>
-std::vector<std::byte> pack(const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> bytes(v.size() * sizeof(T));
-  // memcpy forbids null pointers even for zero sizes (UBSan enforces it),
-  // and an empty vector's data() is null.
-  if (!bytes.empty()) std::memcpy(bytes.data(), v.data(), bytes.size());
-  return bytes;
-}
-
-template <typename T>
-void unpack_into(const std::vector<std::byte>& bytes, std::vector<T>& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t n = bytes.size() / sizeof(T);
-  if (n == 0) return;
-  const std::size_t old = out.size();
-  out.resize(old + n);
-  std::memcpy(out.data() + old, bytes.data(), n * sizeof(T));
+  std::vector<T> out;
+  for (const auto& bytes : comm.alltoallv_bytes(payloads)) {
+    const std::size_t old = out.size();
+    out.resize(old + bytes.size() / sizeof(T));
+    if (!bytes.empty())
+      std::memcpy(out.data() + old, bytes.data(), bytes.size());
+  }
+  return out;
 }
 
 }  // namespace
@@ -78,13 +70,9 @@ struct ParallelTree::Exchanged {
   std::unique_ptr<Octree> tree;  // over this rank's partitioned particles
   std::vector<Multipole> import_mp;      // accepted remote clusters
   std::vector<TreeParticle> import_p;    // unresolved remote particles
-  // Routing: per partitioned particle (matching tree->particles() via the
-  // global id), where the result must be sent back to.
-  // stnb-analyze: allow(det-unordered-iter) lookup-only: written by keyed
-  // insert (lines ~170/176), read via at() in deterministic targets[]
-  // order when routing results back; never iterated.
-  std::unordered_map<std::uint32_t, std::pair<std::int32_t, std::int32_t>>
-      route;
+  // Routing: the origin of each particle in the order the octree was
+  // given them, so sorted particle i goes back to origin[tree->order()[i]].
+  std::vector<Origin> origin;
   // Posted-but-unreceived LET state: expected element counts per source
   // rank (from the counts allgather; zero-count sources post no message).
   // The payloads themselves are in flight until receive_let drains them —
@@ -130,8 +118,7 @@ ParallelTree::Exchanged ParallelTree::exchange(
   for (std::size_t i = 0; i < local.size(); ++i) {
     mine[i].p = local[i];
     mine[i].p.key = particle_key(local[i].x, domain);
-    mine[i].orig_rank = rank;
-    mine[i].orig_index = static_cast<std::int32_t>(i);
+    mine[i].origin = {rank, static_cast<std::int32_t>(i)};
   }
   std::sort(mine.begin(), mine.end(),
             [](const WireParticle& a, const WireParticle& b) {
@@ -142,41 +129,39 @@ ParallelTree::Exchanged ParallelTree::exchange(
                 cost.t_sort_per_particle);
 
   std::vector<TreeParticle> partitioned;
-  if (p_ranks > 1) {
-    constexpr int kSamples = 32;
-    std::vector<std::uint64_t> samples;
-    for (int s = 0; s < kSamples && !mine.empty(); ++s)
-      samples.push_back(
-          mine[(mine.size() - 1) * s / std::max(1, kSamples - 1)].p.key);
-    auto all_samples = comm_.allgatherv(samples);
-    std::sort(all_samples.begin(), all_samples.end());
-    std::vector<std::uint64_t> splitters;
-    for (int r = 1; r < p_ranks; ++r)
-      splitters.push_back(
-          all_samples[all_samples.size() * r / p_ranks]);
-
-    std::vector<std::vector<WireParticle>> to_each(p_ranks);
-    for (const auto& wp : mine) {
-      const int dest = static_cast<int>(
-          std::upper_bound(splitters.begin(), splitters.end(), wp.p.key) -
-          splitters.begin());
-      to_each[dest].push_back(wp);
-    }
-    std::vector<std::vector<std::byte>> payloads(p_ranks);
-    for (int r = 0; r < p_ranks; ++r) payloads[r] = pack(to_each[r]);
-    const auto incoming = comm_.alltoallv_bytes(payloads);
+  {
+    // This rank's partition with each particle's origin, scoped so it is
+    // freed before the collectives of the later phases.
     std::vector<WireParticle> received;
-    for (const auto& payload : incoming) unpack_into(payload, received);
+    if (p_ranks > 1) {
+      constexpr int kSamples = 32;
+      std::vector<std::uint64_t> samples;
+      for (int s = 0; s < kSamples && !mine.empty(); ++s)
+        samples.push_back(
+            mine[(mine.size() - 1) * s / std::max(1, kSamples - 1)].p.key);
+      auto all_samples = comm_.allgatherv(samples);
+      std::sort(all_samples.begin(), all_samples.end());
+      std::vector<std::uint64_t> splitters;
+      for (int r = 1; r < p_ranks; ++r)
+        splitters.push_back(
+            all_samples[all_samples.size() * r / p_ranks]);
+
+      std::vector<std::vector<WireParticle>> to_each(p_ranks);
+      for (const auto& wp : mine) {
+        const int dest = static_cast<int>(
+            std::upper_bound(splitters.begin(), splitters.end(), wp.p.key) -
+            splitters.begin());
+        to_each[dest].push_back(wp);
+      }
+      received = alltoallv(comm_, to_each);
+    } else {
+      received = std::move(mine);
+    }
     partitioned.reserve(received.size());
+    ex.origin.reserve(received.size());
     for (const auto& wp : received) {
       partitioned.push_back(wp.p);
-      ex.route[wp.p.id] = {wp.orig_rank, wp.orig_index};
-    }
-  } else {
-    partitioned.reserve(mine.size());
-    for (const auto& wp : mine) {
-      partitioned.push_back(wp.p);
-      ex.route[wp.p.id] = {wp.orig_rank, wp.orig_index};
+      ex.origin.push_back(wp.origin);
     }
   }
   timings.local_particles = partitioned.size();
@@ -214,14 +199,10 @@ ParallelTree::Exchanged ParallelTree::exchange(
     }
   }
   timings.branch_count = my_branches.size();
+  // Every rank learns the globally shared top of the tree. Interaction
+  // data travels through the LET below; the modeled charge is that of
+  // aggregating the branches into the top.
   const auto all_branches = comm_.allgatherv(my_branches);
-  // Aggregate the globally shared top: here we fold all branches into the
-  // root expansion (used for diagnostics/validation; interaction data
-  // travels through the LET below).
-  Multipole global_root;
-  global_root.center = domain.center();
-  for (const auto& b : all_branches) global_root.add_shifted(b.mp);
-  (void)global_root;  // diagnostics hook; forces flow through the LET
   comm_.compute(static_cast<double>(all_branches.size()) * cost.t_tree_node);
   timings.branch_exchange = comm_.clock().now() - t2;
   branch_span.end();
@@ -234,18 +215,15 @@ ParallelTree::Exchanged ParallelTree::exchange(
   ex.let_span = scope.span("tree.let_exchange");
   obs::Span post_span = scope.span("tree.let_post");
   const double t3 = comm_.clock().now();
-  std::vector<RankBox> boxes(p_ranks);
-  {
-    RankBox mine_box{{1e300, 1e300, 1e300}, {-1e300, -1e300, -1e300}};
-    for (const auto& p : ex.tree->particles()) {
-      mine_box.lo = min(mine_box.lo, p.x);
-      mine_box.hi = max(mine_box.hi, p.x);
-    }
-    std::vector<RankBox> one = {mine_box};
-    const auto all = comm_.allgatherv(one);
-    boxes.assign(all.begin(), all.end());
+  RankBox mine_box{{1e300, 1e300, 1e300}, {-1e300, -1e300, -1e300}};
+  for (const auto& p : ex.tree->particles()) {
+    mine_box.lo = min(mine_box.lo, p.x);
+    mine_box.hi = max(mine_box.hi, p.x);
   }
+  const auto boxes = comm_.allgatherv(std::vector<RankBox>{mine_box});
 
+  ex.let_mp_counts.assign(p_ranks, 0);
+  ex.let_p_counts.assign(p_ranks, 0);
   if (p_ranks > 1) {
     std::vector<std::vector<Multipole>> mp_for(p_ranks);
     std::vector<std::vector<TreeParticle>> p_for(p_ranks);
@@ -256,7 +234,8 @@ ParallelTree::Exchanged ParallelTree::exchange(
       while (!stack.empty()) {
         const Node& node = nodes[stack.back()];
         stack.pop_back();
-        const double dmin = min_distance_to_box(node.mp.center, boxes[r]);
+        const double dmin = std::sqrt(
+            box_distance2(node.mp.center, boxes[r].lo, boxes[r].hi));
         if (node.box_size <= config_.theta * dmin && node.count > 1) {
           mp_for[r].push_back(node.mp);
         } else if (node.leaf) {
@@ -279,8 +258,6 @@ ParallelTree::Exchanged ParallelTree::exchange(
       my_counts[2 * r + 1] = p_for[r].size();
     }
     const auto all_counts = comm_.allgatherv(my_counts);
-    ex.let_mp_counts.assign(p_ranks, 0);
-    ex.let_p_counts.assign(p_ranks, 0);
     for (int src = 0; src < p_ranks; ++src) {
       ex.let_mp_counts[src] = all_counts[2 * p_ranks * src + 2 * rank];
       ex.let_p_counts[src] = all_counts[2 * p_ranks * src + 2 * rank + 1];
@@ -308,13 +285,11 @@ void ParallelTree::receive_let(Exchanged& ex, SolveTimings& timings) {
   // overlapped path accumulates imports in exactly the order the old
   // alltoallv produced.
   for (int src = 0; src < comm_.size(); ++src) {
-    if (src < static_cast<int>(ex.let_mp_counts.size()) &&
-        ex.let_mp_counts[src] > 0) {
+    if (ex.let_mp_counts[src] > 0) {
       const auto v = comm_.recv<Multipole>(src, kTagLetMp);
       ex.import_mp.insert(ex.import_mp.end(), v.begin(), v.end());
     }
-    if (src < static_cast<int>(ex.let_p_counts.size()) &&
-        ex.let_p_counts[src] > 0) {
+    if (ex.let_p_counts[src] > 0) {
       const auto v = comm_.recv<TreeParticle>(src, kTagLetP);
       ex.import_p.insert(ex.import_p.end(), v.begin(), v.end());
     }
@@ -324,13 +299,12 @@ void ParallelTree::receive_let(Exchanged& ex, SolveTimings& timings) {
   ex.let_span.end();
 }
 
-VortexForces ParallelTree::solve_vortex(
+template <typename Terms>
+std::vector<typename Terms::Value> ParallelTree::solve(
     const std::vector<TreeParticle>& local,
-    const kernels::AlgebraicKernel& kernel) {
-  VortexForces out;
-  Exchanged ex = exchange(local, out.timings);
+    const typename Terms::Kernel& kernel, SolveTimings& timings) {
+  Exchanged ex = exchange(local, timings);
   const auto& cost = comm_.cost();
-  const int p_ranks = comm_.size();
 
   // ---- traversal, overlapped with the LET exchange -------------------------
   // Cell-blocked engine: one MAC walk per Morton-contiguous leaf group
@@ -342,56 +316,50 @@ VortexForces ParallelTree::solve_vortex(
   const obs::Scope scope = comm_.obs_scope();
   obs::Span traversal_span = scope.span("tree.traversal");
   const double t4 = comm_.clock().now();
-  const auto& targets = ex.tree->particles();
   const BlockedEvaluator evaluator(
       *ex.tree, {config_.theta, config_.group_size, config_.pool});
-  VortexPartial partial =
-      evaluator.begin_vortex(kernel, FarFieldMode::kCombined);
-  comm_.compute((partial.near * cost.t_near_batched +
-                 partial.far * cost.t_far_batched) /
+  Accumulators<Terms> acc = evaluator.begin<Terms>(kernel);
+  comm_.compute((acc.near_count * cost.t_near_batched +
+                 acc.far_count * cost.t_far_batched) /
                 std::max(1, config_.model_threads));
-  const double t5 = comm_.clock().now();
-  out.timings.traversal += t5 - t4;
+  timings.traversal += comm_.clock().now() - t4;
 
-  receive_let(ex, out.timings);
+  receive_let(ex, timings);
 
   const double t6 = comm_.clock().now();
-  const std::uint64_t local_near = partial.near, local_far = partial.far;
-  const VortexField field =
-      evaluator.finish_vortex(kernel, std::move(partial),
-                              std::span(ex.import_mp), std::span(ex.import_p));
-  std::vector<VortexWire> results(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    results[i] = {static_cast<std::int32_t>(0), field.u[i], field.grad[i]};
-  out.timings.near = field.near;
-  out.timings.far = field.far;
-  scope.add("tree.eval.near", out.timings.near);
-  scope.add("tree.eval.far", out.timings.far);
-  comm_.compute(((field.near - local_near) * cost.t_near_batched +
-                 (field.far - local_far) * cost.t_far_batched) /
+  const std::uint64_t local_near = acc.near_count, local_far = acc.far_count;
+  acc = evaluator.finish<Terms>(kernel, std::move(acc),
+                                std::span(ex.import_mp),
+                                std::span(ex.import_p));
+  timings.near = acc.near_count;
+  timings.far = acc.far_count;
+  scope.add("tree.eval.near", timings.near);
+  scope.add("tree.eval.far", timings.far);
+  comm_.compute(((timings.near - local_near) * cost.t_near_batched +
+                 (timings.far - local_far) * cost.t_far_batched) /
                 std::max(1, config_.model_threads));
-  out.timings.traversal += comm_.clock().now() - t6;
+  timings.traversal += comm_.clock().now() - t6;
   traversal_span.end();
 
   // ---- route results back to the callers' layout ---------------------------
-  std::vector<std::vector<VortexWire>> back(p_ranks);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto [orig_rank, orig_index] = ex.route.at(targets[i].id);
-    results[i].orig_index = orig_index;
-    back[orig_rank].push_back(results[i]);
+  using Value = typename Terms::Value;
+  const auto& order = ex.tree->order();
+  std::vector<std::vector<Routed<Value>>> back(comm_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Origin& from = ex.origin[order[i]];
+    back[from.rank].push_back({from.index, acc.value[i]});
   }
-  out.u.assign(local.size(), Vec3{});
-  out.grad.assign(local.size(), Mat3{});
-  std::vector<std::vector<std::byte>> payloads(p_ranks);
-  for (int r = 0; r < p_ranks; ++r) payloads[r] = pack(back[r]);
-  for (const auto& payload : comm_.alltoallv_bytes(payloads)) {
-    std::vector<VortexWire> wires;
-    unpack_into(payload, wires);
-    for (const auto& w : wires) {
-      out.u[w.orig_index] = w.u;
-      out.grad[w.orig_index] = w.grad;
-    }
-  }
+  std::vector<Value> out(local.size());
+  for (const auto& w : alltoallv(comm_, back)) out[w.index] = w.value;
+  return out;
+}
+
+VortexForces ParallelTree::solve_vortex(
+    const std::vector<TreeParticle>& local,
+    const kernels::AlgebraicKernel& kernel) {
+  VortexForces out;
+  VortexTerms::split(solve<VortexTerms>(local, kernel, out.timings), out.u,
+                     out.grad);
   return out;
 }
 
@@ -399,62 +367,8 @@ CoulombForces ParallelTree::solve_coulomb(
     const std::vector<TreeParticle>& local,
     const kernels::CoulombKernel& kernel) {
   CoulombForces out;
-  Exchanged ex = exchange(local, out.timings);
-  const auto& cost = comm_.cost();
-  const int p_ranks = comm_.size();
-
-  // Same overlapped structure as solve_vortex: local half, drain, imports.
-  const obs::Scope scope = comm_.obs_scope();
-  obs::Span traversal_span = scope.span("tree.traversal");
-  const double t4 = comm_.clock().now();
-  const auto& targets = ex.tree->particles();
-  const BlockedEvaluator evaluator(
-      *ex.tree, {config_.theta, config_.group_size, config_.pool});
-  CoulombPartial partial = evaluator.begin_coulomb(kernel);
-  comm_.compute((partial.near * cost.t_near_batched +
-                 partial.far * cost.t_far_batched) /
-                std::max(1, config_.model_threads));
-  const double t5 = comm_.clock().now();
-  out.timings.traversal += t5 - t4;
-
-  receive_let(ex, out.timings);
-
-  const double t6 = comm_.clock().now();
-  const std::uint64_t local_near = partial.near, local_far = partial.far;
-  const CoulombField field =
-      evaluator.finish_coulomb(kernel, std::move(partial),
-                               std::span(ex.import_mp), std::span(ex.import_p));
-  std::vector<CoulombWire> results(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    results[i] = {0, field.phi[i], field.e[i]};
-  out.timings.near = field.near;
-  out.timings.far = field.far;
-  scope.add("tree.eval.near", out.timings.near);
-  scope.add("tree.eval.far", out.timings.far);
-  comm_.compute(((field.near - local_near) * cost.t_near_batched +
-                 (field.far - local_far) * cost.t_far_batched) /
-                std::max(1, config_.model_threads));
-  out.timings.traversal += comm_.clock().now() - t6;
-  traversal_span.end();
-
-  std::vector<std::vector<CoulombWire>> back(p_ranks);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto [orig_rank, orig_index] = ex.route.at(targets[i].id);
-    results[i].orig_index = orig_index;
-    back[orig_rank].push_back(results[i]);
-  }
-  out.phi.assign(local.size(), 0.0);
-  out.e.assign(local.size(), Vec3{});
-  std::vector<std::vector<std::byte>> payloads(p_ranks);
-  for (int r = 0; r < p_ranks; ++r) payloads[r] = pack(back[r]);
-  for (const auto& payload : comm_.alltoallv_bytes(payloads)) {
-    std::vector<CoulombWire> wires;
-    unpack_into(payload, wires);
-    for (const auto& w : wires) {
-      out.phi[w.orig_index] = w.phi;
-      out.e[w.orig_index] = w.e;
-    }
-  }
+  CoulombTerms::split(solve<CoulombTerms>(local, kernel, out.timings),
+                      out.phi, out.e);
   return out;
 }
 

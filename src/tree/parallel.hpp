@@ -16,16 +16,21 @@
 //      transfer overlaps the local half of phase 6
 //   6. force evaluation, split for communication overlap: the local near
 //      and far field are evaluated while the LET payloads are in flight
-//      (BlockedEvaluator::begin_*), the payloads are then drained, and
-//      the imports applied on top (finish_*) — bit-identical to a
-//      synchronous exchange followed by a one-shot evaluation.
+//      (BlockedEvaluator::begin), the payloads are then drained, and the
+//      imports applied on top (BlockedEvaluator::finish) — bit-identical
+//      to a synchronous exchange followed by a one-shot evaluation.
 //      Parallelized over the per-rank thread pool (PEPC's hybrid
 //      MPI/Pthreads layer)
-//   7. routing of results back to the callers' particle layout.
+//   7. routing of results back to the callers' particle layout, by the
+//      octree's sort permutation (sorted index -> caller's rank and
+//      index), so ids only serve self-interaction exclusion.
 //
-// Every phase advances the rank's virtual clock (communication through
-// mpsim's cost model, computation through explicit counters), so phase
-// timings reproduce the Fig. 5 breakdown deterministically.
+// Phases 1-7 are written once over the kernel concept of
+// tree/interaction_list.hpp (VortexTerms, CoulombTerms); solve_vortex and
+// solve_coulomb are thin wrappers. Every phase advances the rank's
+// virtual clock (communication through mpsim's cost model, computation
+// through explicit counters), so phase timings reproduce the Fig. 5
+// breakdown deterministically.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +93,9 @@ class ParallelTree {
   ParallelTree(mpsim::Comm space_comm, ParallelConfig config);
 
   /// Computes regularized Biot-Savart velocities + gradients for the
-  /// caller's local particles (every rank passes its slice; `id` fields
-  /// must be globally unique — they key self-interaction exclusion).
+  /// caller's local particles, in the caller's order (every rank passes
+  /// its slice, possibly empty; `id` fields must be globally unique — they
+  /// key self-interaction exclusion).
   VortexForces solve_vortex(const std::vector<TreeParticle>& local,
                             const kernels::AlgebraicKernel& kernel);
 
@@ -99,6 +105,12 @@ class ParallelTree {
 
  private:
   struct Exchanged;
+  /// Phases 1-7 for one kernel: the results per input particle, in the
+  /// caller's order.
+  template <typename Terms>
+  std::vector<typename Terms::Value> solve(
+      const std::vector<TreeParticle>& local,
+      const typename Terms::Kernel& kernel, SolveTimings& timings);
   /// Phases 1-5 (LET sends posted, not yet received), shared by both
   /// kernels. Returns the partitioned local tree plus routing info; the
   /// imported interaction lists arrive via receive_let.

@@ -80,23 +80,52 @@ TEST(Check, WildcardRaceDetectedWithCandidateDiagnostics) {
   EXPECT_NE(report.find("rank 0"), std::string::npos);
 }
 
-TEST(Check, RaceReportIsByteIdenticalAcrossRuns) {
-  const auto run_once = [] {
-    Checker checker;
-    Runtime rt;
-    rt.set_check_hook(&checker);
-    return expect_check_error(CheckError::Kind::kRace, [&] {
-      rt.run(4, [&](Comm& comm) {
-        if (comm.rank() == 0) {
-          for (int i = 0; i < 3; ++i) (void)comm.recv<int>(kAnySource, 5);
-        } else {
-          comm.send(0, /*tag=*/5, std::vector<int>{comm.rank()});
-        }
-      });
+/// Rank 0 takes three wildcard receives while ranks 1-3 each send it one
+/// message; returns the race report. Which send wins each receive varies
+/// from run to run.
+std::string three_wildcard_race_report(mpsim::SchedConfig sched = {}) {
+  Checker checker;
+  Runtime rt;
+  rt.set_check_hook(&checker);
+  rt.set_sched(sched);
+  return expect_check_error(CheckError::Kind::kRace, [&] {
+    rt.run(4, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int i = 0; i < 3; ++i) (void)comm.recv<int>(kAnySource, 5);
+      } else {
+        comm.send(0, /*tag=*/5, std::vector<int>{comm.rank()});
+      }
     });
-  };
-  const std::string first = run_once();
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(run_once(), first);
+  });
+}
+
+TEST(Check, RaceReportIsByteIdenticalAcrossRuns) {
+  const std::string first = three_wildcard_race_report();
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(three_wildcard_race_report(), first);
+}
+
+TEST(Check, RaceReportIsScheduleIndependentUnderBothSchedulers) {
+  // Every send could reach every one of the three receives under some
+  // schedule, whichever won an earlier receive in this one: each receive
+  // lists all three candidates, and the report never varies.
+  const std::string first = three_wildcard_race_report();
+  for (int recv = 0; recv < 3; ++recv)
+    EXPECT_NE(first.find("wildcard recv #" + std::to_string(recv) +
+                         " at rank 0 on comm w (source=any, tag=5): 3 "
+                         "candidate sends"),
+              std::string::npos)
+        << first;
+  for (const mpsim::SchedMode mode :
+       {mpsim::SchedMode::kThreadPerRank, mpsim::SchedMode::kFiber}) {
+    mpsim::SchedConfig sched;
+    sched.mode = mode;
+    sched.workers = 4;
+    for (int i = 0; i < 200; ++i)
+      ASSERT_EQ(three_wildcard_race_report(sched), first)
+          << "run " << i << " in "
+          << (mode == mpsim::SchedMode::kFiber ? "fiber" : "thread")
+          << " mode";
+  }
 }
 
 TEST(Check, NamedRecvsOfConcurrentSendsAreNotARace) {

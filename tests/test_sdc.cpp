@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "ode/nodes.hpp"
 #include "ode/rk.hpp"
@@ -136,6 +137,11 @@ struct RkCase {
   ButcherTableau tableau;
   double expected_order;
 };
+
+// Without this gtest prints the raw bytes of RkCase, which hold pointers, and
+// gtest_discover_tests bakes them into the ctest names: every build of the
+// binary then registered these cases under different names.
+void PrintTo(const RkCase& c, std::ostream* os) { *os << c.name; }
 
 class RkOrder : public ::testing::TestWithParam<RkCase> {};
 
